@@ -16,6 +16,7 @@
 #include <utility>
 
 #include "common/rng.hpp"
+#include "server/reactor.hpp"
 
 namespace renuca::server {
 
@@ -159,23 +160,16 @@ bool Client::connectUnix(const std::string& path, std::string* error,
 bool Client::connectTcp(const std::string& hostPort, std::string* error,
                         int timeoutMs) {
   close();
-  const std::size_t colon = hostPort.rfind(':');
-  if (colon == std::string::npos) {
-    setError(error, "bad address '" + hostPort + "' (want host:port)");
+  std::string host;
+  std::uint16_t port = 0;
+  if (const std::string bad = parseHostPort(hostPort, host, port); !bad.empty()) {
+    setError(error, bad);
     return false;
   }
-  std::string host = hostPort.substr(0, colon);
   if (host.empty()) host = "127.0.0.1";
-  unsigned long port = 0;
-  for (char c : hostPort.substr(colon + 1)) {
-    if (c < '0' || c > '9' || (port = port * 10 + static_cast<unsigned long>(c - '0')) > 65535) {
-      setError(error, "bad port in '" + hostPort + "'");
-      return false;
-    }
-  }
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<std::uint16_t>(port));
+  addr.sin_port = htons(port);
   if (inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
     setError(error, "bad host '" + host + "'");
     return false;

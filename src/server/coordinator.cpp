@@ -1,53 +1,16 @@
 #include "server/coordinator.hpp"
 
-#include <arpa/inet.h>
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <sys/un.h>
-#include <unistd.h>
-
-#include <algorithm>
-#include <cerrno>
-#include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <sstream>
 
 #include "common/log.hpp"
 #include "server/jobspec.hpp"
+#include "telemetry/json.hpp"
 #include "telemetry/prometheus.hpp"
 
 namespace renuca::server {
 
 namespace {
-
-constexpr int kPollMs = 100;
-
-bool setNonBlocking(int fd) {
-  const int flags = fcntl(fd, F_GETFL, 0);
-  return flags >= 0 && fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
-}
-
-std::string errnoString() { return std::strerror(errno); }
-
-/// Splits "host:port"; empty or "*" host means any interface.
-bool splitHostPort(const std::string& s, std::string& host, std::uint16_t& port) {
-  const std::size_t colon = s.rfind(':');
-  if (colon == std::string::npos) return false;
-  host = s.substr(0, colon);
-  const std::string portStr = s.substr(colon + 1);
-  if (portStr.empty()) return false;
-  unsigned long p = 0;
-  for (char c : portStr) {
-    if (c < '0' || c > '9') return false;
-    p = p * 10 + static_cast<unsigned long>(c - '0');
-    if (p > 65535) return false;
-  }
-  port = static_cast<std::uint16_t>(p);
-  return true;
-}
 
 /// Parses "key=value" lines (REGISTER / HEARTBEAT bodies) into a map.
 std::map<std::string, std::string> parseKvLines(const std::string& text) {
@@ -75,45 +38,15 @@ double kvDouble(const std::map<std::string, std::string>& kv,
   return end != it->second.c_str() ? v : 0.0;
 }
 
-std::string jsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 /// The synthetic report body for a job the fleet itself failed (attempts
 /// exhausted, drain with no workers) — same "error" / "error_code" keys a
 /// worker-produced failure report carries.
 std::string failReportJson(const std::string& why, ErrCode code) {
-  return std::string("{\"error\": \"") + jsonEscape(why) +
+  return std::string("{\"error\": \"") + telemetry::jsonEscape(why) +
          "\", \"error_code\": \"" + toString(code) + "\"}\n";
 }
 
-void histogramJson(std::ostringstream& os, const Histogram& h) {
-  os << "{\"count\": " << h.total() << ", \"p50\": " << h.percentile(0.50)
-     << ", \"p90\": " << h.percentile(0.90) << ", \"p99\": " << h.percentile(0.99)
-     << "}";
-}
-
-double msSince(std::chrono::steady_clock::time_point from,
-               std::chrono::steady_clock::time_point to) {
+double msSince(Reactor::Clock::time_point from, Reactor::Clock::time_point to) {
   return std::chrono::duration<double>(to - from).count() * 1000.0;
 }
 
@@ -121,18 +54,13 @@ double msSince(std::chrono::steady_clock::time_point from,
 
 Coordinator::Coordinator(CoordinatorConfig cfg)
     : cfg_(std::move(cfg)),
+      reactor_(cfg_, *this, "coord", "peer"),
       leaseWaitHist_(/*bucketWidth=*/25.0, /*numBuckets=*/4096),
       latencyHist_(/*bucketWidth=*/25.0, /*numBuckets=*/4096) {
-  if (pipe(wakePipe_) != 0) {
-    logMessage(LogLevel::Error, "coord", "pipe() failed: " + errnoString());
-    wakePipe_[0] = wakePipe_[1] = -1;
-  } else {
-    setNonBlocking(wakePipe_[0]);
-    setNonBlocking(wakePipe_[1]);
-  }
   submitted_ = metrics_.counter("coord/submitted");
   rejected_ = metrics_.counter("coord/rejected");
   protocolErrors_ = metrics_.counter("coord/protocol_errors");
+  reactor_.countProtocolErrors(protocolErrors_);
   redispatched_ = metrics_.counter("coord/redispatched");
   duplicatesDiscarded_ = metrics_.counter("coord/duplicates_discarded");
   workersLost_ = metrics_.counter("coord/workers_lost");
@@ -155,240 +83,38 @@ Coordinator::Coordinator(CoordinatorConfig cfg)
   metrics_.gauge("coord/workers_live",
                  [this] { return static_cast<double>(liveWorkers()); });
   metrics_.gauge("coord/sessions",
-                 [this] { return static_cast<double>(sessions_.size()); });
+                 [this] { return static_cast<double>(reactor_.sessionCount()); });
 }
 
-Coordinator::~Coordinator() {
-  for (auto& [id, s] : sessions_) {
-    if (s.fd >= 0) ::close(s.fd);
-  }
-  for (int fd : listenFds_) ::close(fd);
-  {
-    std::lock_guard<std::mutex> lk(adoptMutex_);
-    for (int fd : adopted_) ::close(fd);
-  }
-  if (wakePipe_[0] >= 0) ::close(wakePipe_[0]);
-  if (wakePipe_[1] >= 0) ::close(wakePipe_[1]);
+bool Coordinator::listen() { return reactor_.listen(); }
+
+void Coordinator::adoptConnection(int fd) { reactor_.adopt(fd); }
+
+void Coordinator::requestStop() { reactor_.requestStop(); }
+
+void Coordinator::onOpen(Session& s, int /*kind*/) {
+  peers_[s.id].lastSeen = Clock::now();
 }
 
-bool Coordinator::listen() {
-  if (!cfg_.socketPath.empty()) {
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    if (cfg_.socketPath.size() >= sizeof(addr.sun_path)) {
-      logMessage(LogLevel::Error, "coord",
-                 "socket path too long: " + cfg_.socketPath);
-      return false;
-    }
-    std::memcpy(addr.sun_path, cfg_.socketPath.c_str(), cfg_.socketPath.size() + 1);
-    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (fd < 0) {
-      logMessage(LogLevel::Error, "coord", "socket(AF_UNIX): " + errnoString());
-      return false;
-    }
-    ::unlink(cfg_.socketPath.c_str());
-    if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0 ||
-        ::listen(fd, 128) != 0 || !setNonBlocking(fd)) {
-      logMessage(LogLevel::Error, "coord",
-                 "bind/listen " + cfg_.socketPath + ": " + errnoString());
-      ::close(fd);
-      return false;
-    }
-    listenFds_.push_back(fd);
-    logMessage(LogLevel::Info, "coord", "listening on " + cfg_.socketPath);
-  }
-  if (!cfg_.listenHostPort.empty()) {
-    std::string host;
-    std::uint16_t port = 0;
-    if (!splitHostPort(cfg_.listenHostPort, host, port)) {
-      logMessage(LogLevel::Error, "coord",
-                 "bad listen address '" + cfg_.listenHostPort + "' (want host:port)");
-      return false;
-    }
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(port);
-    if (host.empty() || host == "*") {
-      addr.sin_addr.s_addr = htonl(INADDR_ANY);
-    } else if (inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-      logMessage(LogLevel::Error, "coord", "bad listen host '" + host + "'");
-      return false;
-    }
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd < 0) {
-      logMessage(LogLevel::Error, "coord", "socket(AF_INET): " + errnoString());
-      return false;
-    }
-    const int one = 1;
-    ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-    if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0 ||
-        ::listen(fd, 128) != 0 || !setNonBlocking(fd)) {
-      logMessage(LogLevel::Error, "coord",
-                 "bind/listen " + cfg_.listenHostPort + ": " + errnoString());
-      ::close(fd);
-      return false;
-    }
-    listenFds_.push_back(fd);
-    logMessage(LogLevel::Info, "coord", "listening on " + cfg_.listenHostPort);
-  }
-  if (listenFds_.empty()) {
-    logMessage(LogLevel::Error, "coord", "no listeners configured");
-    return false;
-  }
-  return true;
-}
-
-void Coordinator::adoptConnection(int fd) {
-  setNonBlocking(fd);
-  {
-    std::lock_guard<std::mutex> lk(adoptMutex_);
-    adopted_.push_back(fd);
-  }
-  wake();
-}
-
-void Coordinator::requestStop() {
-  stopFlag_.store(true, std::memory_order_relaxed);
-  if (wakePipe_[1] >= 0) {
-    const char b = 's';
-    [[maybe_unused]] ssize_t n = ::write(wakePipe_[1], &b, 1);
-  }
-}
-
-void Coordinator::wake() {
-  if (wakePipe_[1] >= 0) {
-    const char b = 'w';
-    [[maybe_unused]] ssize_t n = ::write(wakePipe_[1], &b, 1);
-  }
-}
-
-void Coordinator::drainAdopted() {
-  std::vector<int> fds;
-  {
-    std::lock_guard<std::mutex> lk(adoptMutex_);
-    fds.swap(adopted_);
-  }
-  for (int fd : fds) addSession(fd);
-}
-
-Coordinator::Session& Coordinator::addSession(int fd) {
-  Session s;
-  s.fd = fd;
-  s.id = nextSessionId_++;
-  s.lastActive = s.lastSeen = std::chrono::steady_clock::now();
-  auto [it, inserted] = sessions_.emplace(s.id, std::move(s));
-  return it->second;
-}
-
-void Coordinator::acceptPending(int listenFd) {
-  for (;;) {
-    const int fd = ::accept(listenFd, nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-    setNonBlocking(fd);
-    addSession(fd);
-  }
-}
-
-void Coordinator::sendMessage(Session& s, const Message& m) {
-  if (s.dead) return;
-  const std::vector<std::uint8_t> frame = encodeFrame(m);
-  s.out.insert(s.out.end(), frame.begin(), frame.end());
-  if (s.out.size() - s.outOff > cfg_.maxWriteBuffer) {
-    logMessage(LogLevel::Warn, "coord",
-               "session " + std::to_string(s.id) + ": write backlog over " +
-                   std::to_string(cfg_.maxWriteBuffer) + " bytes, dropping peer");
-    s.dead = true;
-  }
-}
-
-bool Coordinator::flushSession(Session& s) {
-  while (s.outOff < s.out.size()) {
-    const std::size_t chunk = s.out.size() - s.outOff;
-    const ssize_t n = ::send(s.fd, s.out.data() + s.outOff, chunk, MSG_NOSIGNAL);
-    if (n > 0) {
-      s.outOff += static_cast<std::size_t>(n);
-      continue;
-    }
-    if (n < 0 && errno == EINTR) continue;
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-    return false;
-  }
-  if (s.outOff == s.out.size()) {
-    s.out.clear();
-    s.outOff = 0;
-  } else if (s.outOff > (1u << 20)) {
-    s.out.erase(s.out.begin(), s.out.begin() + static_cast<std::ptrdiff_t>(s.outOff));
-    s.outOff = 0;
-  }
-  return true;
-}
-
-bool Coordinator::readSession(Session& s) {
-  for (;;) {
-    std::uint8_t tmp[65536];
-    const ssize_t n = ::recv(s.fd, tmp, sizeof(tmp), 0);
-    if (n > 0) {
-      s.in.insert(s.in.end(), tmp, tmp + n);
-      s.lastActive = std::chrono::steady_clock::now();
-      if (static_cast<std::size_t>(n) < sizeof(tmp)) break;
-      continue;
-    }
-    if (n == 0) return false;
-    if (errno == EINTR) continue;
-    if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-    return false;
-  }
-  for (;;) {
-    Message m;
-    std::string err;
-    switch (decodeFrame(s.in, cfg_.maxFrameBytes, m, err)) {
-      case DecodeStatus::NeedMore:
-        return true;
-      case DecodeStatus::Frame:
-        handleMessage(s, m);
-        break;
-      case DecodeStatus::BadPayload: {
-        protocolErrors_.inc();
-        Message reply;
-        reply.op = Op::Error;
-        reply.requestId = m.requestId;
-        reply.text = err;
-        sendMessage(s, reply);
-        logMessage(LogLevel::Warn, "coord",
-                   "session " + std::to_string(s.id) + ": " + err);
-        break;
-      }
-      case DecodeStatus::Fatal:
-        protocolErrors_.inc();
-        logMessage(LogLevel::Warn, "coord",
-                   "session " + std::to_string(s.id) + ": " + err + "; closing");
-        return false;
-    }
-    if (s.dead) return true;
-  }
-}
-
-void Coordinator::handleMessage(Session& s, const Message& m) {
+void Coordinator::onFrame(Session& s, const Message& m) {
+  Peer& p = peers_.at(s.id);
   switch (m.op) {
     case Op::Submit:
-      handleSubmit(s, m);
+      handleSubmit(s, p, m);
       return;
     case Op::Register:
-      handleRegister(s, m);
+      handleRegister(s, p, m);
       return;
     case Op::Heartbeat:
-      handleHeartbeat(s, m);
+      handleHeartbeat(s, p, m);
       return;
     case Op::Accepted:
     case Op::Busy:
     case Op::Error:
     case Op::Status:
     case Op::Report:
-      if (s.worker) {
-        handleWorkerResult(s, m);
+      if (p.worker) {
+        handleWorkerResult(s, p, m);
         return;
       }
       protocolErrors_.inc();
@@ -396,63 +122,30 @@ void Coordinator::handleMessage(Session& s, const Message& m) {
                  "session " + std::to_string(s.id) + ": " + toString(m.op) +
                      " from a non-worker peer");
       return;
-    case Op::Stats: {
-      Message reply;
-      reply.op = Op::StatsReply;
-      reply.requestId = m.requestId;
-      reply.text = statsJson();
-      sendMessage(s, reply);
+    case Op::Stats:
+      reactor_.send(s, replyTo(m, Op::StatsReply, statsJson()));
       return;
-    }
-    case Op::Metrics: {
-      Message reply;
-      reply.op = Op::MetricsReply;
-      reply.requestId = m.requestId;
-      reply.text = metricsText();
-      sendMessage(s, reply);
+    case Op::Metrics:
+      reactor_.send(s, replyTo(m, Op::MetricsReply, metricsText()));
       return;
-    }
-    case Op::Ping: {
-      Message reply;
-      reply.op = Op::Pong;
-      reply.requestId = m.requestId;
-      reply.text = m.text;
-      sendMessage(s, reply);
-      return;
-    }
-    case Op::Shutdown: {
-      Message reply;
-      reply.op = Op::Accepted;
-      reply.requestId = m.requestId;
-      reply.text = "draining";
-      sendMessage(s, reply);
-      logMessage(LogLevel::Info, "coord",
-                 "shutdown requested by session " + std::to_string(s.id));
-      requestStop();
-      return;
-    }
-    default: {
+    default:
       protocolErrors_.inc();
-      Message reply;
-      reply.op = Op::Error;
-      reply.requestId = m.requestId;
-      reply.text = std::string("unexpected opcode ") + toString(m.op) +
-                   " at the coordinator";
-      sendMessage(s, reply);
+      reactor_.send(s, replyTo(m, Op::Error,
+                               std::string("unexpected opcode ") + toString(m.op) +
+                                   " at the coordinator"));
       return;
-    }
   }
 }
 
-void Coordinator::handleSubmit(Session& s, const Message& m) {
+void Coordinator::handleSubmit(Session& s, Peer& p, const Message& m) {
   Message reply;
   reply.requestId = m.requestId;
-  if (draining_) {
+  if (reactor_.draining()) {
     reply.op = Op::Busy;
     reply.errorCode = ErrCode::Busy;
     reply.text = "coordinator is draining";
     rejected_.inc();
-    sendMessage(s, reply);
+    reactor_.send(s, reply);
     return;
   }
   // Validate the spec here so a typo costs one Error frame, not a lease.
@@ -463,7 +156,7 @@ void Coordinator::handleSubmit(Session& s, const Message& m) {
     reply.errorCode = ErrCode::Sim;
     reply.text = err;
     rejected_.inc();
-    sendMessage(s, reply);
+    reactor_.send(s, reply);
     return;
   }
   if (pendingQ_.size() >= cfg_.maxQueue) {
@@ -471,7 +164,7 @@ void Coordinator::handleSubmit(Session& s, const Message& m) {
     reply.errorCode = ErrCode::Busy;
     reply.text = "fleet backlog full (" + std::to_string(cfg_.maxQueue) + ")";
     rejected_.inc();
-    sendMessage(s, reply);
+    reactor_.send(s, reply);
     return;
   }
   FleetJob j;
@@ -479,60 +172,60 @@ void Coordinator::handleSubmit(Session& s, const Message& m) {
   j.clientSession = s.id;
   j.clientRequest = m.requestId;
   j.spec = m.text;
-  j.submitted = std::chrono::steady_clock::now();
+  j.submitted = Clock::now();
   const std::uint64_t id = j.id;
   jobs_.emplace(id, std::move(j));
   pendingQ_.push_back(id);
-  s.order.push_back(id);
-  s.undelivered++;
+  p.order.push_back(id);
+  p.undelivered++;
   submitted_.inc();
   reply.op = Op::Accepted;
   reply.jobId = id;
-  sendMessage(s, reply);
+  reactor_.send(s, reply);
   Message status;
   status.op = Op::Status;
   status.requestId = m.requestId;
   status.jobId = id;
   status.state = JobState::Queued;
-  sendMessage(s, status);
+  reactor_.send(s, status);
 }
 
-void Coordinator::handleRegister(Session& s, const Message& m) {
+void Coordinator::handleRegister(Session& s, Peer& p, const Message& m) {
   const auto kv = parseKvLines(m.text);
-  s.worker = true;
+  p.worker = true;
   auto nameIt = kv.find("name");
-  s.workerName = (nameIt != kv.end() && !nameIt->second.empty())
+  p.workerName = (nameIt != kv.end() && !nameIt->second.empty())
                      ? nameIt->second
                      : "worker-" + std::to_string(s.id);
   const double cap = kvDouble(kv, "capacity");
-  s.capacity = cap >= 1.0 ? static_cast<std::size_t>(cap) : 1;
-  s.lastSeen = std::chrono::steady_clock::now();
-  noteWorkerStats(s.workerName);
-  workerLoad_[s.workerName].live = 1;
+  p.capacity = cap >= 1.0 ? static_cast<std::size_t>(cap) : 1;
+  p.lastSeen = Clock::now();
+  noteWorkerStats(p.workerName);
+  workerLoad_[p.workerName].live = 1;
   logMessage(LogLevel::Info, "coord",
-             "worker " + s.workerName + " registered (session " +
+             "worker " + p.workerName + " registered (session " +
                  std::to_string(s.id) + ", capacity " +
-                 std::to_string(s.capacity) + ")");
+                 std::to_string(p.capacity) + ")");
 }
 
-void Coordinator::handleHeartbeat(Session& s, const Message& m) {
-  if (!s.worker) {
+void Coordinator::handleHeartbeat(Session& s, Peer& p, const Message& m) {
+  if (!p.worker) {
     protocolErrors_.inc();
     logMessage(LogLevel::Warn, "coord",
                "session " + std::to_string(s.id) + ": HEARTBEAT before REGISTER");
     return;
   }
-  const auto now = std::chrono::steady_clock::now();
-  s.lastSeen = now;
+  const auto now = Clock::now();
+  p.lastSeen = now;
   const auto kv = parseKvLines(m.text);
-  WorkerLoad& load = workerLoad_[s.workerName];
+  WorkerLoad& load = workerLoad_[p.workerName];
   load.queueDepth = kvDouble(kv, "queue_depth");
   load.inflight = kvDouble(kv, "inflight");
   load.queueWaitP50Ms = kvDouble(kv, "queue_wait_p50_ms");
   load.live = 1;
   // A breathing worker renews its leases: expiry exists to catch dead or
   // partitioned holders, not long jobs on a healthy one.
-  for (std::uint64_t id : s.leases) {
+  for (std::uint64_t id : p.leases) {
     auto it = jobs_.find(id);
     if (it != jobs_.end()) {
       it->second.deadline = now + std::chrono::milliseconds(cfg_.leaseTimeoutMs);
@@ -540,7 +233,7 @@ void Coordinator::handleHeartbeat(Session& s, const Message& m) {
   }
 }
 
-void Coordinator::handleWorkerResult(Session& s, const Message& m) {
+void Coordinator::handleWorkerResult(Session& s, Peer& p, const Message& m) {
   if (m.jobId == 0) return;  // Admission ack for nothing we track.
   auto it = jobs_.find(m.jobId);
   if (it == jobs_.end()) {
@@ -557,8 +250,7 @@ void Coordinator::handleWorkerResult(Session& s, const Message& m) {
       // skip this worker for a beat so the next dispatch spreads out.
       if (job.phase == FleetJob::Phase::Leased && job.worker == s.id) {
         job.attempts = job.attempts > 0 ? job.attempts - 1 : 0;
-        s.backoffUntil = std::chrono::steady_clock::now() +
-                         std::chrono::milliseconds(cfg_.busyBackoffMs);
+        p.backoffUntil = Clock::now() + std::chrono::milliseconds(cfg_.busyBackoffMs);
         requeue(job, "worker busy");
       }
       return;
@@ -580,12 +272,9 @@ void Coordinator::handleWorkerResult(Session& s, const Message& m) {
     case Op::Status: {
       if (job.phase == FleetJob::Phase::Done) return;
       if (m.state == JobState::Running && !job.canceled) {
-        auto cit = sessions_.find(job.clientSession);
-        if (cit != sessions_.end()) {
-          Message fwd = m;
-          fwd.requestId = job.clientRequest;
-          sendMessage(cit->second, fwd);
-        }
+        Message fwd = m;
+        fwd.requestId = job.clientRequest;
+        reactor_.send(job.clientSession, fwd);
       } else if (m.state == JobState::Done || m.state == JobState::Failed) {
         // Stash the final status; the Report that follows on the same
         // stream commits both in order.
@@ -620,14 +309,18 @@ void Coordinator::handleWorkerResult(Session& s, const Message& m) {
   }
 }
 
-void Coordinator::dispatch(std::chrono::steady_clock::time_point now) {
+void Coordinator::dispatch(Clock::time_point now) {
   while (!pendingQ_.empty()) {
     // Least-loaded healthy worker with lease capacity to spare.
-    Session* best = nullptr;
-    for (auto& [sid, s] : sessions_) {
-      if (!s.worker || s.dead || s.leases.size() >= s.capacity) continue;
-      if (s.backoffUntil > now) continue;
-      if (!best || s.leases.size() < best->leases.size()) best = &s;
+    std::uint64_t bestId = 0;
+    Peer* best = nullptr;
+    for (auto& [sid, p] : peers_) {
+      if (!p.worker || p.leases.size() >= p.capacity || p.backoffUntil > now) continue;
+      if (!reactor_.alive(sid)) continue;
+      if (!best || p.leases.size() < best->leases.size()) {
+        bestId = sid;
+        best = &p;
+      }
     }
     if (!best) return;
     const std::uint64_t id = pendingQ_.front();
@@ -638,10 +331,10 @@ void Coordinator::dispatch(std::chrono::steady_clock::time_point now) {
     }
     FleetJob& job = it->second;
     job.phase = FleetJob::Phase::Leased;
-    job.worker = best->id;
+    job.worker = bestId;
     job.attempts++;
     job.deadline = now + std::chrono::milliseconds(cfg_.leaseTimeoutMs);
-    if (job.firstLease == std::chrono::steady_clock::time_point{}) {
+    if (job.firstLease == Clock::time_point{}) {
       job.firstLease = now;
       leaseWaitHist_.add(msSince(job.submitted, now));
     }
@@ -651,19 +344,22 @@ void Coordinator::dispatch(std::chrono::steady_clock::time_point now) {
     lease.requestId = id;
     lease.jobId = id;
     lease.text = job.spec;
-    sendMessage(*best, lease);
+    reactor_.send(bestId, lease);
   }
 }
 
-void Coordinator::expireLeases(std::chrono::steady_clock::time_point now) {
+void Coordinator::expireLeases(Clock::time_point now) {
   // Workers silent past the heartbeat window are dead; their sessions get
   // flagged and the close path re-queues their leases.
-  for (auto& [sid, s] : sessions_) {
-    if (s.worker && !s.dead &&
-        now - s.lastSeen > std::chrono::milliseconds(cfg_.heartbeatTimeoutMs)) {
+  for (auto& [sid, p] : peers_) {
+    if (!p.worker ||
+        now - p.lastSeen <= std::chrono::milliseconds(cfg_.heartbeatTimeoutMs))
+      continue;
+    Session* s = reactor_.find(sid);
+    if (s && !s->dead) {
       logMessage(LogLevel::Warn, "coord",
-                 "worker " + s.workerName + " missed heartbeats; dropping");
-      s.dead = true;
+                 "worker " + p.workerName + " missed heartbeats; dropping");
+      s->dead = true;
     }
   }
   std::vector<std::uint64_t> expired;
@@ -680,8 +376,8 @@ void Coordinator::expireLeases(std::chrono::steady_clock::time_point now) {
     // Deprioritize the stalled holder so the redispatch prefers a
     // different worker; a lone worker becomes eligible again after the
     // backoff window.
-    auto wit = sessions_.find(it->second.worker);
-    if (wit != sessions_.end())
+    auto wit = peers_.find(it->second.worker);
+    if (wit != peers_.end())
       wit->second.backoffUntil =
           now + std::chrono::milliseconds(cfg_.busyBackoffMs);
     requeue(it->second, "lease expired");
@@ -690,8 +386,8 @@ void Coordinator::expireLeases(std::chrono::steady_clock::time_point now) {
 
 void Coordinator::requeue(FleetJob& job, const char* why) {
   if (job.phase == FleetJob::Phase::Leased) {
-    auto wit = sessions_.find(job.worker);
-    if (wit != sessions_.end()) wit->second.leases.erase(job.id);
+    auto wit = peers_.find(job.worker);
+    if (wit != peers_.end()) wit->second.leases.erase(job.id);
   }
   job.phase = FleetJob::Phase::Pending;
   job.worker = 0;
@@ -728,13 +424,13 @@ void Coordinator::failJob(FleetJob& job, ErrCode code, const std::string& why) {
 void Coordinator::commit(FleetJob& job, Message status, Message report) {
   // First result wins; callers already filtered Phase::Done duplicates.
   if (job.phase == FleetJob::Phase::Leased) {
-    auto wit = sessions_.find(job.worker);
-    if (wit != sessions_.end()) wit->second.leases.erase(job.id);
+    auto wit = peers_.find(job.worker);
+    if (wit != peers_.end()) wit->second.leases.erase(job.id);
   }
   job.phase = FleetJob::Phase::Done;
   job.worker = 0;
   (report.state == JobState::Failed ? failed_ : completed_)++;
-  latencyHist_.add(msSince(job.submitted, std::chrono::steady_clock::now()));
+  latencyHist_.add(msSince(job.submitted, Clock::now()));
   if (job.canceled) {
     jobs_.erase(job.id);  // Nobody is waiting; drop the result.
     return;
@@ -749,23 +445,23 @@ void Coordinator::commit(FleetJob& job, Message status, Message report) {
 }
 
 void Coordinator::deliverReady(std::uint64_t clientSessionId) {
-  auto sit = sessions_.find(clientSessionId);
-  if (sit == sessions_.end()) return;
-  Session& cs = sit->second;
+  Session* cs = reactor_.find(clientSessionId);
+  if (!cs) return;
+  Peer& client = peers_.at(clientSessionId);
   // Plan-order streaming: a finished job's report leaves only when every
   // job this client submitted before it has left too.
-  while (!cs.order.empty()) {
-    auto jit = jobs_.find(cs.order.front());
+  while (!client.order.empty()) {
+    auto jit = jobs_.find(client.order.front());
     if (jit == jobs_.end()) {
-      cs.order.pop_front();
+      client.order.pop_front();
       continue;
     }
     FleetJob& j = jit->second;
     if (j.phase != FleetJob::Phase::Done) break;
-    sendMessage(cs, j.finalStatus);
-    sendMessage(cs, j.finalReport);
-    if (cs.undelivered > 0) --cs.undelivered;
-    cs.order.pop_front();
+    reactor_.send(*cs, j.finalStatus);
+    reactor_.send(*cs, j.finalReport);
+    if (client.undelivered > 0) --client.undelivered;
+    client.order.pop_front();
     jobs_.erase(jit);
   }
 }
@@ -796,34 +492,69 @@ void Coordinator::cancelClientJobs(std::uint64_t clientSessionId) {
   }
 }
 
-void Coordinator::closeSession(Session& s) {
-  if (s.worker) {
+void Coordinator::onClose(Session& s) {
+  Peer& p = peers_.at(s.id);
+  if (p.worker) {
     workersLost_.inc();
-    workerLoad_[s.workerName].live = 0;
-    if (!s.leases.empty()) {
+    workerLoad_[p.workerName].live = 0;
+    if (!p.leases.empty()) {
       logMessage(LogLevel::Warn, "coord",
-                 "worker " + s.workerName + " lost with " +
-                     std::to_string(s.leases.size()) + " lease(s); re-queueing");
+                 "worker " + p.workerName + " lost with " +
+                     std::to_string(p.leases.size()) + " lease(s); re-queueing");
     }
-    const std::vector<std::uint64_t> held(s.leases.begin(), s.leases.end());
+    const std::vector<std::uint64_t> held(p.leases.begin(), p.leases.end());
     for (std::uint64_t id : held) {
       auto it = jobs_.find(id);
       if (it != jobs_.end()) requeue(it->second, "worker lost");
     }
-    s.leases.clear();
   } else {
     cancelClientJobs(s.id);
   }
-  if (s.fd >= 0) {
-    ::close(s.fd);
-    s.fd = -1;
+  peers_.erase(s.id);
+}
+
+bool Coordinator::idleEligible(const Session& s) const {
+  // Workers never idle out; a client does once everything is delivered.
+  const Peer& p = peers_.at(s.id);
+  return !p.worker && p.undelivered == 0;
+}
+
+void Coordinator::onDrain() {
+  logMessage(LogLevel::Info, "coord", "draining: finishing leased work");
+}
+
+void Coordinator::onRound(Clock::time_point now) {
+  expireLeases(now);
+  dispatch(now);
+  if (reactor_.draining() && liveWorkers() == 0 && !jobs_.empty()) failStranded();
+}
+
+bool Coordinator::drainDone() { return jobs_.empty(); }
+
+void Coordinator::failStranded() {
+  // Nothing left to run the work; fail it rather than hang the drain.
+  std::vector<std::uint64_t> ids;
+  for (auto& [id, j] : jobs_) {
+    if (j.phase != FleetJob::Phase::Done) ids.push_back(id);
   }
+  for (std::uint64_t id : ids) {
+    auto it = jobs_.find(id);
+    if (it == jobs_.end()) continue;
+    if (it->second.phase == FleetJob::Phase::Leased) {
+      auto wit = peers_.find(it->second.worker);
+      if (wit != peers_.end()) wit->second.leases.erase(id);
+      it->second.worker = 0;
+      it->second.phase = FleetJob::Phase::Pending;
+    }
+    failJob(it->second, ErrCode::Canceled, "no workers left during drain");
+  }
+  pendingQ_.clear();
 }
 
 std::size_t Coordinator::liveWorkers() const {
   std::size_t n = 0;
-  for (const auto& [id, s] : sessions_) {
-    if (s.worker && !s.dead) ++n;
+  for (const auto& [id, p] : peers_) {
+    if (p.worker && reactor_.alive(id)) ++n;
   }
   return n;
 }
@@ -843,19 +574,14 @@ void Coordinator::noteWorkerStats(const std::string& name) {
 
 std::string Coordinator::statsJson() {
   std::ostringstream os;
-  os << "{\"coordinator\": {";
-  const std::vector<std::string>& names = metrics_.names();
-  const std::vector<double> values = metrics_.sample();
-  for (std::size_t i = 0; i < names.size(); ++i) {
-    if (i) os << ", ";
-    os << '"' << names[i] << "\": " << values[i];
-  }
-  os << "}, \"workers\": {";
+  os << "{\"coordinator\": ";
+  metricsJson(os, metrics_);
+  os << ", \"workers\": {";
   bool first = true;
   for (const auto& [name, load] : workerLoad_) {
     if (!first) os << ", ";
     first = false;
-    os << '"' << jsonEscape(name) << "\": {\"live\": " << load.live
+    os << '"' << telemetry::jsonEscape(name) << "\": {\"live\": " << load.live
        << ", \"queue_depth\": " << load.queueDepth
        << ", \"inflight\": " << load.inflight
        << ", \"queue_wait_p50_ms\": " << load.queueWaitP50Ms << "}";
@@ -878,146 +604,8 @@ std::string Coordinator::metricsText() {
 }
 
 int Coordinator::run() {
-  const auto idleTimeout = std::chrono::milliseconds(cfg_.idleTimeoutMs);
-  std::vector<pollfd> fds;
-  std::vector<std::uint64_t> fdSession;
-  for (;;) {
-    drainAdopted();
-    const auto now = std::chrono::steady_clock::now();
-
-    if (stopFlag_.load(std::memory_order_relaxed) && !draining_) {
-      draining_ = true;
-      logMessage(LogLevel::Info, "coord", "draining: finishing leased work");
-      for (int fd : listenFds_) ::close(fd);
-      listenFds_.clear();
-    }
-
-    expireLeases(now);
-    dispatch(now);
-
-    if (draining_) {
-      if (liveWorkers() == 0 && !jobs_.empty()) {
-        // Nothing left to run the work; fail it rather than hang the drain.
-        std::vector<std::uint64_t> ids;
-        for (auto& [id, j] : jobs_) {
-          if (j.phase != FleetJob::Phase::Done) ids.push_back(id);
-        }
-        for (std::uint64_t id : ids) {
-          auto it = jobs_.find(id);
-          if (it == jobs_.end()) continue;
-          if (it->second.phase == FleetJob::Phase::Leased) {
-            auto wit = sessions_.find(it->second.worker);
-            if (wit != sessions_.end()) wit->second.leases.erase(id);
-            it->second.worker = 0;
-            it->second.phase = FleetJob::Phase::Pending;
-          }
-          failJob(it->second, ErrCode::Canceled, "no workers left during drain");
-        }
-        pendingQ_.clear();
-      }
-      bool flushed = jobs_.empty();
-      if (flushed) {
-        for (auto& [id, s] : sessions_) {
-          if (s.outOff < s.out.size() && !s.dead) {
-            flushed = false;
-            break;
-          }
-        }
-      }
-      if (flushed) break;
-    }
-
-    fds.clear();
-    fdSession.clear();
-    if (wakePipe_[0] >= 0) {
-      fds.push_back({wakePipe_[0], POLLIN, 0});
-      fdSession.push_back(0);
-    }
-    for (int fd : listenFds_) {
-      fds.push_back({fd, POLLIN, 0});
-      fdSession.push_back(0);
-    }
-    for (auto& [id, s] : sessions_) {
-      short events = 0;
-      if (!s.dead && s.out.size() - s.outOff < cfg_.softWriteBuffer)
-        events |= POLLIN;
-      if (s.outOff < s.out.size()) events |= POLLOUT;
-      if (events == 0 && !s.dead) events = POLLIN;
-      fds.push_back({s.fd, events, 0});
-      fdSession.push_back(id);
-    }
-
-    const int n = ::poll(fds.data(), static_cast<nfds_t>(fds.size()), kPollMs);
-    if (n < 0 && errno != EINTR) {
-      logMessage(LogLevel::Error, "coord", "poll: " + errnoString());
-      break;
-    }
-
-    std::vector<std::uint64_t> toClose;
-    for (std::size_t i = 0; i < fds.size(); ++i) {
-      const pollfd& p = fds[i];
-      if (p.revents == 0) continue;
-      if (p.fd == wakePipe_[0]) {
-        char buf[256];
-        while (::read(wakePipe_[0], buf, sizeof(buf)) > 0) {
-        }
-        continue;
-      }
-      if (fdSession[i] == 0) {
-        acceptPending(p.fd);
-        continue;
-      }
-      auto it = sessions_.find(fdSession[i]);
-      if (it == sessions_.end()) continue;
-      Session& s = it->second;
-      bool alive = true;
-      if (p.revents & (POLLERR | POLLNVAL)) alive = false;
-      if (alive && (p.revents & POLLOUT)) alive = flushSession(s);
-      if (alive && (p.revents & (POLLIN | POLLHUP))) alive = readSession(s);
-      if (alive && s.outOff < s.out.size()) alive = flushSession(s);
-      if (!alive) {
-        s.dead = true;
-        toClose.push_back(s.id);
-      } else if (s.dead) {
-        toClose.push_back(s.id);
-      }
-    }
-
-    const auto sweep = std::chrono::steady_clock::now();
-    for (auto& [id, s] : sessions_) {
-      if (s.dead) {
-        // Heartbeat expiry flags sessions outside the event sweep above;
-        // make sure every dead session is reaped this round.
-        toClose.push_back(id);
-        continue;
-      }
-      if (!s.worker && cfg_.idleTimeoutMs > 0 && s.undelivered == 0 &&
-          s.out.size() == s.outOff && sweep - s.lastActive > idleTimeout) {
-        logMessage(LogLevel::Info, "coord",
-                   "session " + std::to_string(id) + ": idle timeout");
-        s.dead = true;
-        toClose.push_back(id);
-      }
-    }
-    for (std::uint64_t id : toClose) {
-      auto it = sessions_.find(id);
-      if (it == sessions_.end()) continue;
-      flushSession(it->second);
-      closeSession(it->second);
-      sessions_.erase(it);
-    }
-  }
-
-  for (auto& [id, s] : sessions_) {
-    flushSession(s);
-    if (s.fd >= 0) {
-      ::close(s.fd);
-      s.fd = -1;
-    }
-  }
-  sessions_.clear();
-  if (!cfg_.socketPath.empty()) ::unlink(cfg_.socketPath.c_str());
-  logMessage(LogLevel::Info, "coord", "drained; exiting");
+  reactor_.run();
+  reactor_.shutdown();
   return 0;
 }
 

@@ -34,33 +34,30 @@
 //  * Drain: Shutdown/SIGTERM stops admission (BUSY), lets leased work
 //    finish, and fails whatever cannot run if no worker is left alive.
 //
-// Like renucad, the loop is single-threaded poll(): every socket, lease
-// table, and buffer belongs to the loop thread; requestStop() is the only
-// cross-thread entry point (async-signal-safe).
+// Like renucad, the coordinator is a Role on the socket reactor
+// (server/reactor.hpp): every socket, lease table, and buffer belongs to
+// the loop thread; adoptConnection() and the async-signal-safe
+// requestStop() are the only cross-thread entry points.
 #pragma once
 
-#include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <deque>
 #include <map>
-#include <mutex>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "common/stats.hpp"
 #include "server/protocol.hpp"
+#include "server/reactor.hpp"
 #include "telemetry/metrics.hpp"
 
 namespace renuca::server {
 
-struct CoordinatorConfig {
-  /// Unix-domain listen path; empty = no Unix listener (tests adopt
-  /// socketpair ends instead).
-  std::string socketPath;
-  /// Optional TCP listener, "host:port" ("" or "*" host = any interface).
-  std::string listenHostPort;
+/// Socket settings (listeners, idle timeout, frame and write-buffer
+/// bounds) come from ReactorConfig; the idle timeout never applies to
+/// workers.
+struct CoordinatorConfig : ReactorConfig {
   /// Admission bound across all clients; a full backlog answers BUSY.
   std::size_t maxQueue = 4096;
   /// A lease not renewed (by its holder's heartbeats) within this window
@@ -73,21 +70,11 @@ struct CoordinatorConfig {
   int maxAttempts = 5;
   /// A worker that answered BUSY is skipped for this long.
   int busyBackoffMs = 300;
-  /// Client sessions with no traffic and no jobs in flight are closed
-  /// after this long (<= 0 = never).  Never applies to workers.
-  int idleTimeoutMs = 0;
-  /// Frames larger than this are a fatal protocol violation.
-  std::size_t maxFrameBytes = kDefaultMaxFrameBytes;
-  /// Reading pauses for a session whose unsent backlog passes this...
-  std::size_t softWriteBuffer = 1u << 20;
-  /// ...and the session is dropped outright past this.
-  std::size_t maxWriteBuffer = 64u << 20;
 };
 
-class Coordinator {
+class Coordinator : private Reactor::Role {
  public:
   explicit Coordinator(CoordinatorConfig cfg);
-  ~Coordinator();
   Coordinator(const Coordinator&) = delete;
   Coordinator& operator=(const Coordinator&) = delete;
 
@@ -108,24 +95,22 @@ class Coordinator {
   void requestStop();
 
  private:
-  struct Session {
-    int fd = -1;
-    std::uint64_t id = 0;
-    std::vector<std::uint8_t> in;
-    std::vector<std::uint8_t> out;  ///< Bytes [outOff, end) are unsent.
-    std::size_t outOff = 0;
-    bool dead = false;
+  using Clock = Reactor::Clock;
+  using Session = Reactor::Session;
+
+  /// The coordinator's half of a session: a worker once it REGISTERs, a
+  /// client otherwise.
+  struct Peer {
     // Worker half (set by REGISTER).
     bool worker = false;
     std::string workerName;
     std::size_t capacity = 1;           ///< Max concurrent leases.
     std::set<std::uint64_t> leases;     ///< Fleet job ids held right now.
-    std::chrono::steady_clock::time_point lastSeen;
-    std::chrono::steady_clock::time_point backoffUntil{};
+    Clock::time_point lastSeen;
+    Clock::time_point backoffUntil{};
     // Client half.
     std::deque<std::uint64_t> order;  ///< Submission order for delivery.
     std::size_t undelivered = 0;      ///< Jobs admitted, report not yet sent.
-    std::chrono::steady_clock::time_point lastActive;
   };
 
   /// One sharded job, from admission to ordered delivery.
@@ -139,33 +124,32 @@ class Coordinator {
     int attempts = 0;               ///< Dispatches consumed.
     std::uint64_t worker = 0;       ///< Lease holder's session id (Leased).
     bool canceled = false;          ///< Client left; discard the result.
-    bool delivered = false;
-    std::chrono::steady_clock::time_point submitted;
-    std::chrono::steady_clock::time_point firstLease{};
-    std::chrono::steady_clock::time_point deadline{};
+    Clock::time_point submitted;
+    Clock::time_point firstLease{};
+    Clock::time_point deadline{};
     Message finalStatus;  ///< Buffered for in-order delivery once Done.
     Message finalReport;
   };
 
-  // Event-loop internals (loop thread only).
-  void drainAdopted();
-  void acceptPending(int listenFd);
-  Session& addSession(int fd);
-  bool readSession(Session& s);
-  bool flushSession(Session& s);
-  void sendMessage(Session& s, const Message& m);
-  void handleMessage(Session& s, const Message& m);
-  void handleSubmit(Session& s, const Message& m);
-  void handleRegister(Session& s, const Message& m);
-  void handleHeartbeat(Session& s, const Message& m);
-  void handleWorkerResult(Session& s, const Message& m);
-  void closeSession(Session& s);
+  // Reactor::Role (loop thread only).
+  void onOpen(Session& s, int kind) override;
+  void onFrame(Session& s, const Message& m) override;
+  void onRound(Clock::time_point now) override;
+  void onDrain() override;
+  void onClose(Session& s) override;
+  bool idleEligible(const Session& s) const override;
+  bool drainDone() override;
+
+  void handleSubmit(Session& s, Peer& p, const Message& m);
+  void handleRegister(Session& s, Peer& p, const Message& m);
+  void handleHeartbeat(Session& s, Peer& p, const Message& m);
+  void handleWorkerResult(Session& s, Peer& p, const Message& m);
 
   /// Grants pending jobs to healthy workers with free capacity.
-  void dispatch(std::chrono::steady_clock::time_point now);
+  void dispatch(Clock::time_point now);
   /// Re-queues expired leases; kills workers silent past the heartbeat
-  /// timeout (their sessions are flagged dead and reaped by run()).
-  void expireLeases(std::chrono::steady_clock::time_point now);
+  /// timeout (their sessions are flagged dead and reaped this round).
+  void expireLeases(Clock::time_point now);
   /// Re-queues one leased job (lease lost / retryable failure).
   void requeue(FleetJob& job, const char* why);
   /// Commits the final result for a job (first writer wins) and releases
@@ -178,24 +162,18 @@ class Coordinator {
   void deliverReady(std::uint64_t clientSessionId);
   /// Drops a departed client's unfinished jobs.
   void cancelClientJobs(std::uint64_t clientSessionId);
+  /// Draining with no live worker: fails every unfinished job.
+  void failStranded();
 
   std::string statsJson();
   std::string metricsText();
   std::size_t liveWorkers() const;
   void noteWorkerStats(const std::string& name);
-  void wake();
 
   CoordinatorConfig cfg_;
-  std::vector<int> listenFds_;
-  int wakePipe_[2] = {-1, -1};
-  std::map<std::uint64_t, Session> sessions_;
-  std::uint64_t nextSessionId_ = 1;
+  Reactor reactor_;
+  std::map<std::uint64_t, Peer> peers_;  ///< Keyed by Session::id.
   std::uint64_t nextJobId_ = 1;
-  bool draining_ = false;
-
-  std::atomic<bool> stopFlag_{false};
-  std::mutex adoptMutex_;
-  std::vector<int> adopted_;
 
   std::map<std::uint64_t, FleetJob> jobs_;  ///< Every unfinished job.
   std::deque<std::uint64_t> pendingQ_;      ///< Awaiting dispatch (FIFO).

@@ -85,6 +85,14 @@ const char* toString(JobState s) {
   return "unknown";
 }
 
+Message replyTo(const Message& req, Op op, std::string text) {
+  Message m;
+  m.op = op;
+  m.requestId = req.requestId;
+  m.text = std::move(text);
+  return m;
+}
+
 std::vector<std::uint8_t> encodeFrame(const Message& m) {
   std::vector<std::uint8_t> payload;
   {

@@ -119,6 +119,9 @@ struct Message {
   std::string text;             ///< Spec / report / stats JSON / error text.
 };
 
+/// A reply to `req`: `op` carrying `text`, with req's requestId echoed.
+Message replyTo(const Message& req, Op op, std::string text);
+
 /// Encodes a message as one complete frame (length prefix included).
 std::vector<std::uint8_t> encodeFrame(const Message& m);
 

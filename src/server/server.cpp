@@ -1,16 +1,8 @@
 #include "server/server.hpp"
 
-#include <arpa/inet.h>
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <cerrno>
-#include <cstring>
 #include <sstream>
 
 #include "common/log.hpp"
@@ -21,45 +13,10 @@
 
 namespace renuca::server {
 
-namespace {
-
-constexpr int kPollMs = 200;
-
-bool setNonBlocking(int fd) {
-  const int flags = fcntl(fd, F_GETFL, 0);
-  return flags >= 0 && fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
-}
-
-std::string errnoString() { return std::strerror(errno); }
-
-/// Splits "host:port"; empty or "*" host means any interface.
-bool splitHostPort(const std::string& s, std::string& host, std::uint16_t& port) {
-  const std::size_t colon = s.rfind(':');
-  if (colon == std::string::npos) return false;
-  host = s.substr(0, colon);
-  const std::string portStr = s.substr(colon + 1);
-  if (portStr.empty()) return false;
-  unsigned long p = 0;
-  for (char c : portStr) {
-    if (c < '0' || c > '9') return false;
-    p = p * 10 + static_cast<unsigned long>(c - '0');
-    if (p > 65535) return false;
-  }
-  port = static_cast<std::uint16_t>(p);
-  return true;
-}
-
-void histogramJson(std::ostringstream& os, const Histogram& h) {
-  os << "{\"count\": " << h.total() << ", \"p50\": " << h.percentile(0.50)
-     << ", \"p90\": " << h.percentile(0.90) << ", \"p99\": " << h.percentile(0.99)
-     << "}";
-}
-
-}  // namespace
-
 Server::Server(ServerConfig cfg)
     : cfg_(std::move(cfg)),
       pool_(std::make_unique<ThreadPool>(sim::resolveJobs(cfg_.jobs))),
+      reactor_(cfg_, *this, "server", "client"),
       queueDepthHist_(1.0, cfg_.maxQueue + 2),
       latencyHist_(/*bucketWidth=*/25.0, /*numBuckets=*/4096),
       queueWaitHist_(/*bucketWidth=*/25.0, /*numBuckets=*/4096),
@@ -77,16 +34,10 @@ Server::Server(ServerConfig cfg)
       jobTracer_.reset();
     }
   }
-  if (pipe(wakePipe_) != 0) {
-    logMessage(LogLevel::Error, "server", "pipe() failed: " + errnoString());
-    wakePipe_[0] = wakePipe_[1] = -1;
-  } else {
-    setNonBlocking(wakePipe_[0]);
-    setNonBlocking(wakePipe_[1]);
-  }
   accepted_ = metrics_.counter("server/accepted");
   rejected_ = metrics_.counter("server/rejected");
   protocolErrors_ = metrics_.counter("server/protocol_errors");
+  reactor_.countProtocolErrors(protocolErrors_);
   metrics_.gauge("server/inflight",
                  [this] { return static_cast<double>(inflightA_.load()); });
   metrics_.gauge("server/completed",
@@ -96,149 +47,67 @@ Server::Server(ServerConfig cfg)
   metrics_.gauge("server/queue_depth",
                  [this] { return static_cast<double>(queueDepthA_.load()); });
   metrics_.gauge("server/sessions",
-                 [this] { return static_cast<double>(sessionsA_.load()); });
+                 [this] { return static_cast<double>(reactor_.sessionCount()); });
 }
 
-Server::~Server() {
-  for (auto& [id, s] : sessions_) {
-    if (s.fd >= 0) ::close(s.fd);
-  }
-  for (int fd : listenFds_) ::close(fd);
-  {
-    std::lock_guard<std::mutex> lk(adoptMutex_);
-    for (int fd : adopted_) ::close(fd);
-    for (int fd : adoptedCoord_) ::close(fd);
-  }
-  if (wakePipe_[0] >= 0) ::close(wakePipe_[0]);
-  if (wakePipe_[1] >= 0) ::close(wakePipe_[1]);
-}
+bool Server::listen() { return reactor_.listen(); }
 
-bool Server::listen() {
-  if (!cfg_.socketPath.empty()) {
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    if (cfg_.socketPath.size() >= sizeof(addr.sun_path)) {
-      logMessage(LogLevel::Error, "server",
-                 "socket path too long: " + cfg_.socketPath);
-      return false;
-    }
-    std::memcpy(addr.sun_path, cfg_.socketPath.c_str(), cfg_.socketPath.size() + 1);
-    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (fd < 0) {
-      logMessage(LogLevel::Error, "server", "socket(AF_UNIX): " + errnoString());
-      return false;
-    }
-    ::unlink(cfg_.socketPath.c_str());
-    if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0 ||
-        ::listen(fd, 128) != 0 || !setNonBlocking(fd)) {
-      logMessage(LogLevel::Error, "server",
-                 "bind/listen " + cfg_.socketPath + ": " + errnoString());
-      ::close(fd);
-      return false;
-    }
-    listenFds_.push_back(fd);
-    logMessage(LogLevel::Info, "server", "listening on " + cfg_.socketPath);
-  }
-  if (!cfg_.listenHostPort.empty()) {
-    std::string host;
-    std::uint16_t port = 0;
-    if (!splitHostPort(cfg_.listenHostPort, host, port)) {
-      logMessage(LogLevel::Error, "server",
-                 "bad listen address '" + cfg_.listenHostPort + "' (want host:port)");
-      return false;
-    }
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(port);
-    if (host.empty() || host == "*") {
-      addr.sin_addr.s_addr = htonl(INADDR_ANY);
-    } else if (inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-      logMessage(LogLevel::Error, "server", "bad listen host '" + host + "'");
-      return false;
-    }
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd < 0) {
-      logMessage(LogLevel::Error, "server", "socket(AF_INET): " + errnoString());
-      return false;
-    }
-    const int one = 1;
-    ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-    if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0 ||
-        ::listen(fd, 128) != 0 || !setNonBlocking(fd)) {
-      logMessage(LogLevel::Error, "server",
-                 "bind/listen " + cfg_.listenHostPort + ": " + errnoString());
-      ::close(fd);
-      return false;
-    }
-    listenFds_.push_back(fd);
-    logMessage(LogLevel::Info, "server", "listening on " + cfg_.listenHostPort);
-  }
-  if (listenFds_.empty()) {
-    logMessage(LogLevel::Error, "server", "no listeners configured");
-    return false;
-  }
-  return true;
-}
+void Server::adoptConnection(int fd) { reactor_.adopt(fd); }
 
-void Server::adoptConnection(int fd) {
-  setNonBlocking(fd);
-  {
-    std::lock_guard<std::mutex> lk(adoptMutex_);
-    adopted_.push_back(fd);
-  }
-  wake();
-}
+void Server::adoptCoordinator(int fd) { reactor_.adopt(fd, kCoordinatorLink); }
 
-void Server::adoptCoordinator(int fd) {
-  setNonBlocking(fd);
-  {
-    std::lock_guard<std::mutex> lk(adoptMutex_);
-    adoptedCoord_.push_back(fd);
-  }
-  wake();
-}
-
-void Server::requestStop() {
-  stopFlag_.store(true, std::memory_order_relaxed);
-  // write() is on the async-signal-safe list; the byte's only job is to
-  // interrupt poll().
-  if (wakePipe_[1] >= 0) {
-    const char b = 's';
-    [[maybe_unused]] ssize_t n = ::write(wakePipe_[1], &b, 1);
-  }
-}
-
-void Server::wake() {
-  if (wakePipe_[1] >= 0) {
-    const char b = 'w';
-    [[maybe_unused]] ssize_t n = ::write(wakePipe_[1], &b, 1);
-  }
-}
+void Server::requestStop() { reactor_.requestStop(); }
 
 void Server::postOutgoing(std::uint64_t sessionId, Message m) {
   {
     std::lock_guard<std::mutex> lk(outgoingMutex_);
     outgoing_.push_back(Outgoing{sessionId, std::move(m)});
   }
-  wake();
+  reactor_.wake();
 }
 
-void Server::drainAdopted() {
-  std::vector<int> fds;
-  std::vector<int> coordFds;
+void Server::onOpen(Session& s, int kind) {
+  Peer& p = peers_[s.id];
+  if (kind != kCoordinatorLink) return;
+  p.coordinator = true;
+  coordSessionId_ = s.id;
+  lastHeartbeat_ = Clock::now();
+  registerWithCoordinator(s);
+}
+
+void Server::onClose(Session& s) {
+  if (peers_.at(s.id).coordinator && s.id == coordSessionId_) {
+    coordSessionId_ = 0;  // maintainCoordinatorLink() reconnects.
+    logMessage(LogLevel::Warn, "server", "coordinator link lost");
+  }
+  peers_.erase(s.id);
+}
+
+bool Server::idleEligible(const Session& s) const {
+  // The fleet link never idles out, nor does a client awaiting a report.
+  const Peer& p = peers_.at(s.id);
+  return p.inflight == 0 && !p.coordinator;
+}
+
+void Server::onRound(Clock::time_point now) {
+  drainOutgoing();
+  maintainCoordinatorLink(now);
+}
+
+void Server::onDrain() {
+  logMessage(LogLevel::Info, "server", "draining: finishing admitted jobs");
   {
-    std::lock_guard<std::mutex> lk(adoptMutex_);
-    fds.swap(adopted_);
-    coordFds.swap(adoptedCoord_);
+    std::lock_guard<std::mutex> lk(queueMutex_);
+    drainRequested_ = true;
   }
-  for (int fd : fds) addSession(fd);
-  for (int fd : coordFds) {
-    Session& s = addSession(fd);
-    s.coordinator = true;
-    coordSessionId_ = s.id;
-    lastHeartbeat_ = std::chrono::steady_clock::now();
-    registerWithCoordinator(s);
-  }
+  queueCv_.notify_all();
+}
+
+bool Server::drainDone() {
+  // Everything produced and handed to a session (or undeliverable).
+  if (!executorDone_.load(std::memory_order_relaxed)) return false;
+  std::lock_guard<std::mutex> lk(outgoingMutex_);
+  return outgoing_.empty();
 }
 
 void Server::drainOutgoing() {
@@ -248,114 +117,11 @@ void Server::drainOutgoing() {
     batch.swap(outgoing_);
   }
   for (Outgoing& o : batch) {
-    auto it = sessions_.find(o.sessionId);
-    if (it == sessions_.end()) continue;  // Client left; drop its events.
-    if (o.msg.op == Op::Report && it->second.inflight > 0) --it->second.inflight;
-    sendMessage(it->second, o.msg);
-  }
-}
-
-Server::Session& Server::addSession(int fd) {
-  Session s;
-  s.fd = fd;
-  s.id = nextSessionId_++;
-  s.lastActive = std::chrono::steady_clock::now();
-  auto [it, inserted] = sessions_.emplace(s.id, std::move(s));
-  sessionsA_.store(sessions_.size(), std::memory_order_relaxed);
-  return it->second;
-}
-
-void Server::acceptPending(int listenFd) {
-  for (;;) {
-    const int fd = ::accept(listenFd, nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EINTR) continue;
-      break;  // EAGAIN (drained) or a transient error; poll will retry.
-    }
-    setNonBlocking(fd);
-    addSession(fd);
-  }
-}
-
-void Server::sendMessage(Session& s, const Message& m) {
-  if (s.dead) return;
-  const std::vector<std::uint8_t> frame = encodeFrame(m);
-  s.out.insert(s.out.end(), frame.begin(), frame.end());
-  if (s.out.size() - s.outOff > cfg_.maxWriteBuffer) {
-    logMessage(LogLevel::Warn, "server",
-               "session " + std::to_string(s.id) + ": write backlog over " +
-                   std::to_string(cfg_.maxWriteBuffer) + " bytes, dropping client");
-    s.dead = true;
-  }
-}
-
-bool Server::flushSession(Session& s) {
-  while (s.outOff < s.out.size()) {
-    const std::size_t chunk = s.out.size() - s.outOff;
-    const ssize_t n =
-        ::send(s.fd, s.out.data() + s.outOff, chunk, MSG_NOSIGNAL);
-    if (n > 0) {
-      s.outOff += static_cast<std::size_t>(n);
-      continue;
-    }
-    if (n < 0 && errno == EINTR) continue;
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-    return false;  // Peer gone.
-  }
-  if (s.outOff == s.out.size()) {
-    s.out.clear();
-    s.outOff = 0;
-  } else if (s.outOff > (1u << 20)) {
-    s.out.erase(s.out.begin(), s.out.begin() + static_cast<std::ptrdiff_t>(s.outOff));
-    s.outOff = 0;
-  }
-  return true;
-}
-
-bool Server::readSession(Session& s) {
-  for (;;) {
-    std::uint8_t tmp[65536];
-    const ssize_t n = ::recv(s.fd, tmp, sizeof(tmp), 0);
-    if (n > 0) {
-      s.in.insert(s.in.end(), tmp, tmp + n);
-      s.lastActive = std::chrono::steady_clock::now();
-      if (static_cast<std::size_t>(n) < sizeof(tmp)) break;
-      continue;
-    }
-    if (n == 0) return false;  // EOF.
-    if (errno == EINTR) continue;
-    if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-    return false;
-  }
-  for (;;) {
-    Message m;
-    std::string err;
-    switch (decodeFrame(s.in, cfg_.maxFrameBytes, m, err)) {
-      case DecodeStatus::NeedMore:
-        return true;
-      case DecodeStatus::Frame:
-        handleMessage(s, m);
-        break;
-      case DecodeStatus::BadPayload: {
-        // The frame boundary was sound, only the payload is damaged: tell
-        // the client and keep the session — the next frame decodes fine.
-        protocolErrors_.inc();
-        Message reply;
-        reply.op = Op::Error;
-        reply.requestId = m.requestId;  // Best effort; 0 if the head died.
-        reply.text = err;
-        sendMessage(s, reply);
-        logMessage(LogLevel::Warn, "server",
-                   "session " + std::to_string(s.id) + ": " + err);
-        break;
-      }
-      case DecodeStatus::Fatal:
-        protocolErrors_.inc();
-        logMessage(LogLevel::Warn, "server",
-                   "session " + std::to_string(s.id) + ": " + err + "; closing");
-        return false;
-    }
-    if (s.dead) return true;  // Flagged mid-loop; let the main loop close it.
+    Session* s = reactor_.find(o.sessionId);
+    if (!s) continue;  // Client left; drop its events.
+    Peer& p = peers_.at(s->id);
+    if (o.msg.op == Op::Report && p.inflight > 0) --p.inflight;
+    reactor_.send(*s, o.msg);
   }
 }
 
@@ -367,12 +133,12 @@ void Server::handleSubmit(Session& s, const Message& m, bool lease) {
   Message reply;
   reply.requestId = m.requestId;
   if (lease) reply.jobId = m.jobId;
-  if (draining_) {
+  if (reactor_.draining()) {
     reply.op = Op::Busy;
     reply.errorCode = ErrCode::Busy;
     reply.text = "server is draining";
     rejected_.inc();
-    sendMessage(s, reply);
+    reactor_.send(s, reply);
     return;
   }
   sim::Job job;
@@ -382,7 +148,7 @@ void Server::handleSubmit(Session& s, const Message& m, bool lease) {
     reply.errorCode = ErrCode::Sim;
     reply.text = err;
     rejected_.inc();
-    sendMessage(s, reply);
+    reactor_.send(s, reply);
     return;
   }
   std::size_t depth = 0;
@@ -395,7 +161,7 @@ void Server::handleSubmit(Session& s, const Message& m, bool lease) {
       reply.errorCode = ErrCode::Busy;
       reply.text = "job queue full (" + std::to_string(cfg_.maxQueue) + ")";
       rejected_.inc();
-      sendMessage(s, reply);
+      reactor_.send(s, reply);
       return;
     }
     QueuedJob q;
@@ -416,33 +182,30 @@ void Server::handleSubmit(Session& s, const Message& m, bool lease) {
     queueDepthHist_.add(static_cast<double>(depth));
   }
   accepted_.inc();
-  s.inflight++;
+  peers_.at(s.id).inflight++;
   reply.op = Op::Accepted;
   reply.jobId = wireJobId;
-  sendMessage(s, reply);
+  reactor_.send(s, reply);
   Message status;
   status.op = Op::Status;
   status.requestId = m.requestId;
   status.jobId = wireJobId;
   status.state = JobState::Queued;
-  sendMessage(s, status);
+  reactor_.send(s, status);
 }
 
-void Server::handleMessage(Session& s, const Message& m) {
+void Server::onFrame(Session& s, const Message& m) {
   switch (m.op) {
     case Op::Submit:
       handleSubmit(s, m, /*lease=*/false);
       return;
     case Op::Lease: {
-      if (!s.coordinator) {
+      if (!peers_.at(s.id).coordinator) {
         protocolErrors_.inc();
-        Message reply;
-        reply.op = Op::Error;
-        reply.requestId = m.requestId;
+        Message reply = replyTo(m, Op::Error, "LEASE on a non-coordinator session");
         reply.jobId = m.jobId;
         reply.errorCode = ErrCode::Sim;
-        reply.text = "LEASE on a non-coordinator session";
-        sendMessage(s, reply);
+        reactor_.send(s, reply);
         return;
       }
       handleSubmit(s, m, /*lease=*/true);
@@ -450,64 +213,26 @@ void Server::handleMessage(Session& s, const Message& m) {
     }
     case Op::Pong:
       return;  // Keepalive reply; nothing to do.
-    case Op::Stats: {
-      Message reply;
-      reply.op = Op::StatsReply;
-      reply.requestId = m.requestId;
-      reply.text = statsJson();
-      sendMessage(s, reply);
+    case Op::Stats:
+      reactor_.send(s, replyTo(m, Op::StatsReply, statsJson()));
       return;
-    }
-    case Op::Shutdown: {
-      Message reply;
-      reply.op = Op::Accepted;
-      reply.requestId = m.requestId;
-      reply.text = "draining";
-      sendMessage(s, reply);
-      logMessage(LogLevel::Info, "server",
-                 "shutdown requested by session " + std::to_string(s.id));
-      requestStop();
+    case Op::Metrics:
+      reactor_.send(s, replyTo(m, Op::MetricsReply, metricsText()));
       return;
-    }
-    case Op::Ping: {
-      Message reply;
-      reply.op = Op::Pong;
-      reply.requestId = m.requestId;
-      reply.text = m.text;
-      sendMessage(s, reply);
-      return;
-    }
-    case Op::Metrics: {
-      Message reply;
-      reply.op = Op::MetricsReply;
-      reply.requestId = m.requestId;
-      reply.text = metricsText();
-      sendMessage(s, reply);
-      return;
-    }
-    default: {
+    default:
       protocolErrors_.inc();
-      Message reply;
-      reply.op = Op::Error;
-      reply.requestId = m.requestId;
-      reply.text = std::string("unexpected opcode ") + toString(m.op) +
-                   " from a client";
-      sendMessage(s, reply);
+      reactor_.send(s, replyTo(m, Op::Error,
+                               std::string("unexpected opcode ") + toString(m.op) +
+                                   " from a client"));
       return;
-    }
   }
 }
 
 std::string Server::statsJson() {
   std::ostringstream os;
-  os << "{\"server\": {";
-  const std::vector<std::string>& names = metrics_.names();
-  const std::vector<double> values = metrics_.sample();
-  for (std::size_t i = 0; i < names.size(); ++i) {
-    if (i) os << ", ";
-    os << '"' << names[i] << "\": " << values[i];
-  }
-  os << "}, \"workers\": " << pool_->threadCount();
+  os << "{\"server\": ";
+  metricsJson(os, metrics_);
+  os << ", \"workers\": " << pool_->threadCount();
   {
     std::lock_guard<std::mutex> lk(statsMutex_);
     os << ", \"queue_depth_hist\": ";
@@ -533,13 +258,6 @@ std::string Server::metricsText() {
                                      "renucad_");
 }
 
-Cycle Server::traceNowUs() const {
-  return static_cast<Cycle>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now() - startTime_)
-          .count());
-}
-
 void Server::jobSpan(const char* stage, const QueuedJob& q, Cycle start, Cycle end) {
   if (!jobTracer_) return;
   std::lock_guard<std::mutex> lk(jobTracerMutex_);
@@ -548,17 +266,6 @@ void Server::jobSpan(const char* stage, const QueuedJob& q, Cycle start, Cycle e
                    {{"job_id", static_cast<std::int64_t>(q.jobId)},
                     {"request_id", static_cast<std::int64_t>(q.requestId)},
                     {"session", static_cast<std::int64_t>(q.sessionId)}});
-}
-
-void Server::closeSession(Session& s) {
-  if (s.coordinator && s.id == coordSessionId_) {
-    coordSessionId_ = 0;  // maintainCoordinatorLink() reconnects.
-    logMessage(LogLevel::Warn, "server", "coordinator link lost");
-  }
-  if (s.fd >= 0) {
-    ::close(s.fd);
-    s.fd = -1;
-  }
 }
 
 std::size_t Server::queueDepthNow() {
@@ -572,18 +279,17 @@ void Server::registerWithCoordinator(Session& s) {
   m.text = "name=" + cfg_.workerName + "\nthreads=" +
            std::to_string(pool_->threadCount()) + "\ncapacity=" +
            std::to_string(pool_->threadCount()) + "\n";
-  sendMessage(s, m);
+  reactor_.send(s, m);
   logMessage(LogLevel::Info, "server",
              "registering with coordinator as " + cfg_.workerName);
 }
 
-void Server::maintainCoordinatorLink(std::chrono::steady_clock::time_point now) {
+void Server::maintainCoordinatorLink(Clock::time_point now) {
   // Heartbeats apply to any live coordinator link, including adopted
   // in-process ones; reconnecting needs a dial address.
-  if (draining_) return;
+  if (reactor_.draining()) return;
   if (coordSessionId_ != 0) {
-    auto it = sessions_.find(coordSessionId_);
-    if (it != sessions_.end() && !it->second.dead) {
+    if (Session* link = reactor_.find(coordSessionId_); link && !link->dead) {
       if (now - lastHeartbeat_ >= std::chrono::milliseconds(cfg_.heartbeatMs)) {
         lastHeartbeat_ = now;
         double p50 = 0.0;
@@ -597,7 +303,7 @@ void Server::maintainCoordinatorLink(std::chrono::steady_clock::time_point now) 
                   "\ninflight=" +
                   std::to_string(inflightA_.load(std::memory_order_relaxed)) +
                   "\nqueue_wait_p50_ms=" + std::to_string(p50) + "\n";
-        sendMessage(it->second, hb);
+        reactor_.send(*link, hb);
       }
       return;
     }
@@ -627,14 +333,8 @@ void Server::maintainCoordinatorLink(std::chrono::steady_clock::time_point now) 
                    std::to_string(coordBackoffMs_) + " ms");
     return;
   }
-  const int fd = c.releaseFd();
-  setNonBlocking(fd);
-  Session& s = addSession(fd);
-  s.coordinator = true;
-  coordSessionId_ = s.id;
+  reactor_.open(c.releaseFd(), kCoordinatorLink);  // onOpen registers.
   coordBackoffMs_ = 0;
-  lastHeartbeat_ = now;
-  registerWithCoordinator(s);
 }
 
 void Server::executorLoop() {
@@ -731,133 +431,14 @@ void Server::executorLoop() {
     sim::runPlan(plan, opts);
   }
   executorDone_.store(true, std::memory_order_relaxed);
-  wake();
+  reactor_.wake();
 }
 
 int Server::run() {
   executor_ = std::thread(&Server::executorLoop, this);
-  const auto idleTimeout = std::chrono::milliseconds(cfg_.idleTimeoutMs);
-
-  std::vector<pollfd> fds;
-  std::vector<std::uint64_t> fdSession;  // Parallel to fds; 0 = not a session.
-  for (;;) {
-    drainAdopted();
-    drainOutgoing();
-    maintainCoordinatorLink(std::chrono::steady_clock::now());
-
-    if (stopFlag_.load(std::memory_order_relaxed) && !draining_) {
-      draining_ = true;
-      logMessage(LogLevel::Info, "server", "draining: finishing admitted jobs");
-      for (int fd : listenFds_) ::close(fd);
-      listenFds_.clear();
-      {
-        std::lock_guard<std::mutex> lk(queueMutex_);
-        drainRequested_ = true;
-      }
-      queueCv_.notify_all();
-    }
-
-    if (draining_ && executorDone_.load(std::memory_order_relaxed)) {
-      // Everything produced; exit once it is also delivered (or undeliverable).
-      bool flushed;
-      {
-        std::lock_guard<std::mutex> lk(outgoingMutex_);
-        flushed = outgoing_.empty();
-      }
-      if (flushed) {
-        for (auto& [id, s] : sessions_) {
-          if (s.outOff < s.out.size() && !s.dead) {
-            flushed = false;
-            break;
-          }
-        }
-      }
-      if (flushed) break;
-    }
-
-    fds.clear();
-    fdSession.clear();
-    if (wakePipe_[0] >= 0) {
-      fds.push_back({wakePipe_[0], POLLIN, 0});
-      fdSession.push_back(0);
-    }
-    for (int fd : listenFds_) {
-      fds.push_back({fd, POLLIN, 0});
-      fdSession.push_back(0);
-    }
-    for (auto& [id, s] : sessions_) {
-      short events = 0;
-      // Backpressure: a session with a deep unsent backlog stops being
-      // read until its buffer drains — it cannot pump more jobs in.
-      if (!s.dead && s.out.size() - s.outOff < cfg_.softWriteBuffer)
-        events |= POLLIN;
-      if (s.outOff < s.out.size()) events |= POLLOUT;
-      if (events == 0 && !s.dead) events = POLLIN;
-      fds.push_back({s.fd, events, 0});
-      fdSession.push_back(id);
-    }
-
-    const int n = ::poll(fds.data(), static_cast<nfds_t>(fds.size()), kPollMs);
-    if (n < 0 && errno != EINTR) {
-      logMessage(LogLevel::Error, "server", "poll: " + errnoString());
-      break;
-    }
-
-    std::vector<std::uint64_t> toClose;
-    for (std::size_t i = 0; i < fds.size(); ++i) {
-      const pollfd& p = fds[i];
-      if (p.revents == 0) continue;
-      if (p.fd == wakePipe_[0]) {
-        char buf[256];
-        while (::read(wakePipe_[0], buf, sizeof(buf)) > 0) {
-        }
-        continue;
-      }
-      if (fdSession[i] == 0) {
-        acceptPending(p.fd);
-        continue;
-      }
-      auto it = sessions_.find(fdSession[i]);
-      if (it == sessions_.end()) continue;
-      Session& s = it->second;
-      bool alive = true;
-      if (p.revents & (POLLERR | POLLNVAL)) alive = false;
-      if (alive && (p.revents & POLLOUT)) alive = flushSession(s);
-      if (alive && (p.revents & (POLLIN | POLLHUP))) alive = readSession(s);
-      // One more flush so small replies leave without waiting a poll round.
-      if (alive && s.outOff < s.out.size()) alive = flushSession(s);
-      if (!alive) {
-        s.dead = true;
-        toClose.push_back(s.id);
-      } else if (s.dead) {
-        toClose.push_back(s.id);
-      }
-    }
-
-    // Idle reaping and deferred closes.
-    const auto now = std::chrono::steady_clock::now();
-    for (auto& [id, s] : sessions_) {
-      if (s.dead || s.coordinator) continue;  // The fleet link never idles out.
-      if (cfg_.idleTimeoutMs > 0 && s.inflight == 0 &&
-          s.out.size() == s.outOff && now - s.lastActive > idleTimeout) {
-        logMessage(LogLevel::Info, "server",
-                   "session " + std::to_string(id) + ": idle timeout");
-        s.dead = true;
-        toClose.push_back(id);
-      }
-    }
-    for (std::uint64_t id : toClose) {
-      auto it = sessions_.find(id);
-      if (it == sessions_.end()) continue;
-      flushSession(it->second);  // Best effort for already-queued replies.
-      closeSession(it->second);
-      sessions_.erase(it);
-    }
-    sessionsA_.store(sessions_.size(), std::memory_order_relaxed);
-  }
-
+  reactor_.run();
   // The executor may still be waiting on the cv if stop arrived with an
-  // empty queue; drainRequested_ is already set, so this only wakes it.
+  // empty queue (or poll() failed); this only wakes it.
   {
     std::lock_guard<std::mutex> lk(queueMutex_);
     drainRequested_ = true;
@@ -865,18 +446,11 @@ int Server::run() {
   queueCv_.notify_all();
   executor_.join();
   drainOutgoing();
-  for (auto& [id, s] : sessions_) {
-    flushSession(s);
-    closeSession(s);
-  }
-  sessions_.clear();
-  sessionsA_.store(0, std::memory_order_relaxed);
   if (jobTracer_) {
     std::lock_guard<std::mutex> lk(jobTracerMutex_);
     jobTracer_->close();
   }
-  if (!cfg_.socketPath.empty()) ::unlink(cfg_.socketPath.c_str());
-  logMessage(LogLevel::Info, "server", "drained; exiting");
+  reactor_.shutdown();
   return 0;
 }
 

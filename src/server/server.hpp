@@ -5,12 +5,12 @@
 // telemetry sinks — and clients stream jobs at it over a Unix-domain
 // socket (TCP optional).  Three threads of control:
 //
-//  * the event loop (run(), the caller's thread): poll()-driven, owns every
-//    socket.  Accepts connections, decodes frames (server/protocol.hpp),
-//    validates job specs with the strict key registry, admits jobs into a
-//    *bounded* queue (full -> explicit BUSY reply, never unbounded memory),
-//    answers STATS/PING, flushes per-session write buffers with
-//    slow-reader backpressure, and closes idle sessions;
+//  * the event loop (run(), the caller's thread): the socket reactor
+//    (server/reactor.hpp) owns every socket, session buffer and listener;
+//    the server is its Role.  It validates job specs with the strict key
+//    registry, admits jobs into a *bounded* queue (full -> explicit BUSY
+//    reply, never unbounded memory), answers STATS/METRICS, and each round
+//    hands executor output to the sessions it belongs to;
 //  * the executor thread: drains the queue in batches into a SweepPlan and
 //    runs it on the resident pool via the existing runPlan() — so queued
 //    jobs from *different clients* are grouped by warm-state fingerprint
@@ -56,18 +56,16 @@
 #include "common/stats.hpp"
 #include "common/thread_pool.hpp"
 #include "server/protocol.hpp"
+#include "server/reactor.hpp"
 #include "sim/sweep.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/trace.hpp"
 
 namespace renuca::server {
 
-struct ServerConfig {
-  /// Unix-domain listen path; empty = no Unix listener (tests adopt
-  /// socketpair ends instead).
-  std::string socketPath;
-  /// Optional TCP listener, "host:port" ("" or "*" host = any interface).
-  std::string listenHostPort;
+/// Socket settings (listeners, idle timeout, frame and write-buffer
+/// bounds) come from ReactorConfig.
+struct ServerConfig : ReactorConfig {
   /// Resident sweep workers (0 = one per hardware thread).
   unsigned jobs = 0;
   /// Admission bound: jobs waiting for the executor.  A full queue makes
@@ -76,20 +74,10 @@ struct ServerConfig {
   /// Warm-start snapshot directory shared across all clients' jobs
   /// (sim/sweep.hpp's warmStartDir); empty = cold runs.
   std::string snapshotDir;
-  /// Sessions with no traffic and no jobs in flight are closed after this
-  /// long (<= 0 = never).
-  int idleTimeoutMs = 0;
   /// Job-lifecycle trace output (trace_json= on renucad): one span per
   /// queued/admitted/executing stage per job, tid = job id, timestamps in
   /// microseconds since server start.  Empty = no tracing.
   std::string traceJsonPath;
-  /// Frames larger than this are a fatal protocol violation.
-  std::size_t maxFrameBytes = kDefaultMaxFrameBytes;
-  /// Reading pauses for a session whose unsent backlog passes this...
-  std::size_t softWriteBuffer = 1u << 20;
-  /// ...and the session is dropped outright past this (a reader this slow
-  /// would otherwise grow the buffer without bound).
-  std::size_t maxWriteBuffer = 64u << 20;
 
   // Fleet worker mode (all optional).
   /// Coordinator address list ("unix:/path", a bare socket path, or
@@ -103,10 +91,9 @@ struct ServerConfig {
   int reconnectMaxMs = 10000;
 };
 
-class Server {
+class Server : private Reactor::Role {
  public:
   explicit Server(ServerConfig cfg);
-  ~Server();
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
@@ -137,16 +124,16 @@ class Server {
   unsigned workerCount() const { return pool_->threadCount(); }
 
  private:
-  struct Session {
-    int fd = -1;
-    std::uint64_t id = 0;
-    std::vector<std::uint8_t> in;
-    std::vector<std::uint8_t> out;  ///< Bytes [outOff, end) are unsent.
-    std::size_t outOff = 0;
+  using Clock = Reactor::Clock;
+  using Session = Reactor::Session;
+
+  /// Reactor::open kind of a coordinator link (0 = a client).
+  static constexpr int kCoordinatorLink = 1;
+
+  /// The server's half of a session.
+  struct Peer {
     std::size_t inflight = 0;  ///< Jobs admitted and not yet reported.
-    bool dead = false;         ///< Close once flagged (after flush attempt).
     bool coordinator = false;  ///< Fleet link: exempt from idle reaping.
-    std::chrono::steady_clock::time_point lastActive;
   };
 
   /// One admitted job, with everything needed to route its results back.
@@ -172,46 +159,38 @@ class Server {
     Message msg;
   };
 
-  // Event-loop internals (loop thread only).
-  void drainAdopted();
+  // Reactor::Role (loop thread only).
+  void onOpen(Session& s, int kind) override;
+  void onFrame(Session& s, const Message& m) override;
+  void onRound(Clock::time_point now) override;
+  void onDrain() override;
+  void onClose(Session& s) override;
+  bool idleEligible(const Session& s) const override;
+  bool drainDone() override;
+
   void drainOutgoing();
-  void acceptPending(int listenFd);
-  Session& addSession(int fd);
-  bool readSession(Session& s);
-  bool flushSession(Session& s);
-  void sendMessage(Session& s, const Message& m);
-  void handleMessage(Session& s, const Message& m);
   void handleSubmit(Session& s, const Message& m, bool lease);
-  void closeSession(Session& s);
   std::string statsJson();
   std::string metricsText();
 
   // Fleet link (loop thread only).
   void registerWithCoordinator(Session& s);
-  void maintainCoordinatorLink(std::chrono::steady_clock::time_point now);
+  void maintainCoordinatorLink(Clock::time_point now);
   std::size_t queueDepthNow();
 
-  /// Microseconds since server construction (the lifecycle trace's clock).
-  Cycle traceNowUs() const;
   /// Emits one job-lifecycle span; serialized — callable from any thread.
   void jobSpan(const char* stage, const QueuedJob& q, Cycle start, Cycle end);
 
   // Cross-thread plumbing.
   void executorLoop();
   void postOutgoing(std::uint64_t sessionId, Message m);
-  void wake();
 
   ServerConfig cfg_;
   std::unique_ptr<ThreadPool> pool_;
-
-  std::vector<int> listenFds_;
-  int wakePipe_[2] = {-1, -1};
-  std::map<std::uint64_t, Session> sessions_;
-  std::uint64_t nextSessionId_ = 1;
+  Reactor reactor_;
+  std::map<std::uint64_t, Peer> peers_;  ///< Keyed by Session::id.
   std::uint64_t nextJobId_ = 1;
-  bool draining_ = false;  ///< Loop-thread view of the stop request.
 
-  std::atomic<bool> stopFlag_{false};
   std::atomic<bool> executorDone_{false};
   std::thread executor_;
 
@@ -222,14 +201,11 @@ class Server {
 
   std::mutex outgoingMutex_;
   std::deque<Outgoing> outgoing_;
-  std::mutex adoptMutex_;
-  std::vector<int> adopted_;
-  std::vector<int> adoptedCoord_;  ///< Guarded by adoptMutex_ too.
 
   // Fleet link state (loop thread only).
   std::uint64_t coordSessionId_ = 0;
-  std::chrono::steady_clock::time_point nextCoordAttempt_{};
-  std::chrono::steady_clock::time_point lastHeartbeat_{};
+  Clock::time_point nextCoordAttempt_{};
+  Clock::time_point lastHeartbeat_{};
   int coordBackoffMs_ = 0;
 
   // Health.  Counters live in the metrics registry and are bumped only by
@@ -243,7 +219,6 @@ class Server {
   std::atomic<std::uint64_t> completedA_{0};
   std::atomic<std::uint64_t> failedA_{0};
   std::atomic<std::uint64_t> queueDepthA_{0};
-  std::atomic<std::uint64_t> sessionsA_{0};
 
   std::mutex statsMutex_;      ///< Histograms (executor writes, loop reads).
   Histogram queueDepthHist_;

@@ -7,6 +7,8 @@
 // and jobs=4.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -532,9 +534,14 @@ std::string stripProvenance(const std::string& report) {
 
 std::string reportFor(const sim::SystemConfig& cfg, const sim::RunResult& r,
                       const char* tag) {
-  const std::string p = tmpPath((std::string("rep-") + tag + ".json").c_str());
+  // One file per process: ctest runs several of these tests at once.
+  const std::string p = tmpPath((std::string("rep-") + tag + "-" +
+                                 std::to_string(::getpid()) + ".json")
+                                    .c_str());
   EXPECT_TRUE(sim::writeRunReport(p, "snapshot-test", cfg, {{tag, r}}, 0.0));
-  return stripProvenance(slurp(p));
+  const std::string report = stripProvenance(slurp(p));
+  std::remove(p.c_str());
+  return report;
 }
 
 TEST(Snapshot, RestoredRunIsByteIdenticalToColdRun) {

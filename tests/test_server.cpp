@@ -909,5 +909,89 @@ TEST(Server, SessionDisconnectDuringJobDoesNotCrash) {
   EXPECT_EQ(ts.stop(), 0);
 }
 
+/// One "server/..." value from a STATS reply over `c`.
+double serverStat(Client& c, const std::string& key) {
+  Message req;
+  req.op = Op::Stats;
+  req.requestId = 4242;
+  EXPECT_TRUE(c.send(req));
+  Message reply;
+  EXPECT_TRUE(c.receive(reply));
+  auto doc = telemetry::parseJson(reply.text);
+  const telemetry::JsonValue* v = doc ? doc->find("server") : nullptr;
+  v = v ? v->find(key) : nullptr;
+  return v && v->isNumber() ? v->number : -1.0;
+}
+
+TEST(Server, DeadSessionIsReapedWhileItsPeerIsNotReading) {
+  // A client that stops reading fills its socket with PONGs; its job's
+  // Report, queued from the executor's output, then pushes the backlog
+  // past maxWriteBuffer.  The server must close that session in the same
+  // round: with the peer's socket full, POLLOUT never fires, so waiting
+  // for I/O would keep the fd and the backlog until the client hangs up.
+  server::ServerConfig cfg = smallServer(1);
+  cfg.maxWriteBuffer = 24 * 1024;
+  TestServer ts(cfg);
+  int fds[2] = {-1, -1};
+  ASSERT_EQ(socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  const int small = 1024;  // The kernel then holds only a few KiB in flight.
+  ASSERT_EQ(setsockopt(fds[0], SOL_SOCKET, SO_SNDBUF, &small, sizeof(small)), 0);
+  ASSERT_EQ(setsockopt(fds[1], SOL_SOCKET, SO_RCVBUF, &small, sizeof(small)), 0);
+  ts.srv->adoptConnection(fds[0]);
+  Client hog;
+  hog.adoptFd(fds[1]);
+  Client bystander = ts.connect();
+
+  // Epoch samples every 10 instructions make the Report (~32 KB) larger
+  // than the whole write budget, while the 16 PONGs stay within it.
+  Message req;
+  req.op = Op::Submit;
+  req.requestId = 1;
+  req.text = quickSpec("mcf", 25) + "epoch_instrs=10\n";
+  ASSERT_TRUE(hog.send(req));
+  for (int i = 0; i < 16; ++i) {
+    Message ping;
+    ping.op = Op::Ping;
+    ping.requestId = static_cast<std::uint64_t>(100 + i);
+    ping.text = std::string(1024, 'p');
+    ASSERT_TRUE(hog.send(ping));
+  }
+
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (serverStat(bystander, "server/completed") < 1.0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  ASSERT_GE(serverStat(bystander, "server/completed"), 1.0);
+  const auto closeBy = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  double sessions = serverStat(bystander, "server/sessions");
+  while (sessions != 1.0 && std::chrono::steady_clock::now() < closeBy) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    sessions = serverStat(bystander, "server/sessions");
+  }
+  EXPECT_EQ(sessions, 1.0) << "the overflowed session was never closed";
+
+  // The hog, reading at last, gets what was in flight and then EOF.
+  hog.setIoTimeout(5000);
+  Message m;
+  std::string err;
+  while (hog.receive(m, &err)) {
+  }
+  EXPECT_EQ(err.find("timeout"), std::string::npos) << err;
+}
+
+TEST(Client, ConnectTcpRejectsBadPortsBeforeDialing) {
+  for (const char* addr : {"h:", "h:70000", "h:1a", "127.0.0.1:"}) {
+    Client c;
+    std::string err;
+    EXPECT_FALSE(c.connectTcp(addr, &err, /*timeoutMs=*/1000)) << addr;
+    EXPECT_NE(err.find("bad port"), std::string::npos) << addr << ": " << err;
+  }
+  Client c;
+  std::string err;
+  EXPECT_FALSE(c.connectTcp("127.0.0.1", &err));
+  EXPECT_NE(err.find("want host:port"), std::string::npos) << err;
+}
+
 }  // namespace
 }  // namespace renuca

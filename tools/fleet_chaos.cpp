@@ -2,9 +2,10 @@
 //
 // Spawns a real renuca-coord plus N real renucad workers (the binaries
 // next to this one), floods the coordinator with a grid of quick jobs,
-// and — while the fleet is busy — SIGKILLs a worker mid-job, throws junk
-// clients at the socket (garbage frames, a byte-dripped frame, a silent
-// staller), and then proves the reliability contract:
+// and — while the fleet is busy — SIGKILLs a worker that still holds
+// leases, throws junk clients at the socket (garbage frames, a
+// byte-dripped frame, a silent staller), and then proves the reliability
+// contract:
 //
 //   * every submitted job produced exactly one report (zero lost, zero
 //     duplicated), even though a lease holder was killed;
@@ -14,8 +15,9 @@
 //   * when a worker was killed, the coordinator's stats actually show
 //     re-dispatched leases (the fault path fired, not just the happy one).
 //
-// Exit 0 = contract held.  Used by the CI chaos smoke step and for manual
-// soak runs (jobs=2000 workers=5 ...).
+// Exit 0 = contract held.  Registered as the `fleet_chaos` ctest
+// (tools/CMakeLists.txt) and used for manual soak runs
+// (jobs=2000 workers=5 ...).
 //
 //   ./fleet_chaos [jobs=60] [workers=3] [kill_after=5] [junk=1] ...
 #include <signal.h>
@@ -291,16 +293,21 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (junk) {
-    if (!junkGarbage(coordSock)) {
-      return fail("session did not survive a corrupt frame");
-    }
-    if (!junkByteDrip(coordSock)) return fail("byte-dripped PING got no PONG");
+  // The junk clients take a few hundred ms.  With a kill they run right
+  // after it: run before collecting, they would let every job finish
+  // first, and the kill would hit a worker that holds no lease.
+  const auto runJunk = [&]() -> std::string {
+    if (!junkGarbage(coordSock)) return "session did not survive a corrupt frame";
+    if (!junkByteDrip(coordSock)) return "byte-dripped PING got no PONG";
     // The staller: connects, says nothing, and must be idle-reaped without
     // disturbing anyone.  Deliberately leaked until the end of the run.
     server::Client staller;
     staller.connectUnix(coordSock);
     staller.releaseFd();  // Keep the fd open but stop touching it.
+    return "";
+  };
+  if (junk && killAfter == 0) {
+    if (const std::string why = runJunk(); !why.empty()) return fail(why);
   }
 
   // Collect: one report per request id, in submission order per client.
@@ -365,6 +372,9 @@ int main(int argc, char** argv) {
                       std::chrono::milliseconds(1000);
           std::printf("fleet_chaos: SIGKILLed worker w0 after %zu reports\n",
                       reports.size());
+          if (junk) {
+            if (const std::string why = runJunk(); !why.empty()) return fail(why);
+          }
         }
         break;
       }
@@ -395,12 +405,42 @@ int main(int argc, char** argv) {
     const double redispatched =
         statValue(statsReply.text, "coord/redispatched");
     const double lost = statValue(statsReply.text, "coord/workers_lost");
-    if (lost < 1.0) {
-      return fail("coordinator never noticed the killed worker");
-    }
     std::printf("fleet_chaos: coordinator saw %g lost worker(s), %g "
                 "re-dispatch(es)\n",
                 lost, redispatched);
+    if (lost < 1.0) {
+      return fail("coordinator never noticed the killed worker");
+    }
+    if (redispatched < 1.0) {
+      return fail("the killed worker held no lease, so nothing was re-dispatched; "
+                  "raise jobs= or lower kill_after=");
+    }
+  }
+
+  // Graceful fleet teardown: drain the coordinator, then stop workers.
+  // It comes before the local verification runs, which can outlast the
+  // coordinator's client idle timeout.
+  server::Message shutdown;
+  shutdown.op = server::Op::Shutdown;
+  shutdown.requestId = 10000;
+  client.send(shutdown, &err);
+  client.close();
+  if (children[0].pid > 0) {
+    int status = 0;
+    ::waitpid(children[0].pid, &status, 0);
+    children[0].pid = -1;
+    if (!WIFEXITED(status) || WEXITSTATUS(status) != 0) {
+      return fail("coordinator exited uncleanly");
+    }
+  }
+  for (Child& c : children) {
+    if (c.pid > 0) ::kill(c.pid, SIGTERM);
+  }
+  for (Child& c : children) {
+    if (c.pid > 0) {
+      ::waitpid(c.pid, nullptr, 0);
+      c.pid = -1;
+    }
   }
 
   // Byte-exactness: every report's stable tail must match the same spec
@@ -441,29 +481,6 @@ int main(int argc, char** argv) {
               "runs\n",
               verified, jobs);
 
-  // Graceful fleet teardown: drain the coordinator, then stop workers.
-  server::Message shutdown;
-  shutdown.op = server::Op::Shutdown;
-  shutdown.requestId = 10000;
-  client.send(shutdown, &err);
-  client.close();
-  if (children[0].pid > 0) {
-    int status = 0;
-    ::waitpid(children[0].pid, &status, 0);
-    children[0].pid = -1;
-    if (!WIFEXITED(status) || WEXITSTATUS(status) != 0) {
-      return fail("coordinator exited uncleanly");
-    }
-  }
-  for (Child& c : children) {
-    if (c.pid > 0) ::kill(c.pid, SIGTERM);
-  }
-  for (Child& c : children) {
-    if (c.pid > 0) {
-      ::waitpid(c.pid, nullptr, 0);
-      c.pid = -1;
-    }
-  }
   ::unlink(coordSock.c_str());
   ::rmdir(dir);
   std::printf("fleet_chaos: PASS (%zu jobs, zero lost, zero duplicated)\n",
